@@ -49,5 +49,5 @@ def cosma_reference_matmul(
         params = COSMA_RESTRICTED_PARAMS if restricted_cpus else COSMA_PARAMS
     # Host-resident data even on GPU machines: out-of-core execution.
     kernel = distal_cosma(cluster, n, memory=MemoryKind.SYSTEM_MEM)
-    trace = kernel.trace(check_capacity=True).trace
+    trace = kernel.trace(check_capacity=True, mode="orbit").trace
     return CostModel(cluster, params).time_trace(trace)

@@ -160,7 +160,7 @@ def ctf_matmul(
         kernel = summa_rect(
             machine, n, n, n, chunk=max(1, n // 16), leaf="blas_gemm"
         )
-    trace = kernel.trace(check_capacity=True).trace
+    trace = kernel.trace(check_capacity=True, mode="orbit").trace
     return _compose(cluster, params, trace)
 
 
@@ -179,7 +179,7 @@ def ctf_ttv(
     gx, gy = best_rect_grid(p, m_dim, 1)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = summa_rect(machine, m_dim, n, 1, chunk=max(1, n // 8), leaf=None)
-    trace = kernel.trace(check_capacity=True).trace
+    trace = kernel.trace(check_capacity=True, mode="orbit").trace
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     post = redistribution_steps(cluster, float(n) ** 2 * ITEM, "unfold-A")
     return _compose(cluster, params, pre, trace, post)
@@ -198,7 +198,7 @@ def ctf_innerprod(
     gx, gy = best_2d_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = distal_innerprod(machine, n)
-    trace = kernel.trace(check_capacity=True).trace
+    trace = kernel.trace(check_capacity=True, mode="orbit").trace
     return _compose(cluster, params, trace)
 
 
@@ -214,7 +214,7 @@ def ctf_ttm(
     kernel = summa_rect(
         machine, m_dim, n, r, chunk=max(1, n // 8), leaf="blas_gemm"
     )
-    trace = kernel.trace(check_capacity=True).trace
+    trace = kernel.trace(check_capacity=True, mode="orbit").trace
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     post = redistribution_steps(cluster, float(n) ** 2 * r * ITEM, "unfold-A")
     return _compose(cluster, params, pre, trace, post)
@@ -237,13 +237,13 @@ def ctf_mttkrp(
     stage1 = summa_rect(
         machine, m_dim, n, r, chunk=max(1, n // 8), leaf="blas_gemm"
     )
-    trace1 = stage1.trace(check_capacity=True).trace
+    trace1 = stage1.trace(check_capacity=True, mode="orbit").trace
     # Stage 2 as a batched matvec: model with a rectangular matmul of the
     # same flop count ((i) x (j) contracted per l slice).
     gx2, gy2 = best_rect_grid(p, n, r)
     machine2 = Machine(cluster, Grid(gx2, gy2))
     stage2 = summa_rect(machine2, n, n, r, chunk=max(1, n // 8), leaf=None)
-    trace2 = stage2.trace(check_capacity=True).trace
+    trace2 = stage2.trace(check_capacity=True, mode="orbit").trace
     pre = redistribution_steps(cluster, float(n) ** 3 * ITEM, "fold-B")
     mid = redistribution_steps(
         cluster, float(n) ** 2 * r * ITEM, "redist-T"

@@ -39,5 +39,5 @@ def scalapack_matmul(
     gx, gy = best_2d_grid(cluster.num_processors)
     machine = Machine(cluster, Grid(gx, gy))
     kernel = summa(machine, n, leaf="blas_gemm")
-    trace = kernel.trace(check_capacity=True).trace
+    trace = kernel.trace(check_capacity=True, mode="orbit").trace
     return CostModel(cluster, params).time_trace(trace)

@@ -26,9 +26,10 @@ outcomes are cached too: a configuration that OOMs re-raises
 :class:`~repro.util.errors.OutOfMemoryError` on every hit, so OOM rows
 in a sweep are as cheap as successful ones.
 
-Baseline models (ScaLAPACK, CTF, reference COSMA) build traces from
-closed-form formulas rather than kernels; :func:`cached_baseline`
-memoizes those per ``(function, cluster signature, arguments)``.
+Baseline models (ScaLAPACK, CTF, reference COSMA) trace kernels of
+their own choosing (plus hand-built redistribution steps for CTF's
+folds); :func:`cached_baseline` memoizes those per ``(function,
+cluster signature, arguments)``.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ _BASELINE_STORE: Dict[Tuple, Tuple[str, object]] = {}
 def cached_baseline(
     fn: Callable[..., SimReport], cluster: Cluster, *args, **kwargs
 ) -> SimReport:
-    """Memoized call of a closed-form baseline model.
+    """Memoized call of a baseline model.
 
     Baselines are deterministic in ``(cluster, arguments)``; OOM
     outcomes are cached and re-raised like :class:`SimulationCache`.

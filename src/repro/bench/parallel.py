@@ -9,8 +9,8 @@ benchmark session. The driver therefore:
 * forks one worker per point (``fork`` start method, so workers inherit
   the parent's warm cache for free);
 * has every worker return its rows *plus* the cache entries it added
-  (both the simulation cache and the closed-form baseline store) and
-  its observability deltas (metric counters, wall-clock spans);
+  (both the simulation cache and the baseline store) and its
+  observability deltas (metric counters, wall-clock spans);
 * merges those deltas back into the parent's process-global caches, so
   a figure computed with ``--jobs 8`` leaves the same cache state
   behind as a sequential run, and later figures (or

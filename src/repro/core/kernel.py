@@ -93,8 +93,11 @@ class Kernel:
         reference), ``"batched"`` (vectorized, trace-identical to
         scalar) or ``"orbit"`` (orbit-compressed: class-representative
         copies with multiplicities; identical simulated times, but the
-        per-copy record is compressed). Trace analyses default to the
-        full ``"batched"`` record. ``sanitize=True`` replays the trace
+        per-copy record is compressed). Simulation, the baselines and
+        byte totals use ``"orbit"``; the consumers that need every
+        physical copy as its own record — the static analyzer and the
+        trace sanitizer — use the full ``"batched"`` record, so it
+        stays the default here. ``sanitize=True`` replays the trace
         through the analyzer's independent consistency checks and
         raises :class:`~repro.util.errors.TraceSanityError` on any
         finding. ``fault_plan`` (a

@@ -87,7 +87,7 @@ def redistribution_bytes(
 ) -> int:
     """Bytes a layout change moves, without executing it functionally."""
     kernel = transfer_kernel(src, dst_format, machine)
-    result = kernel.trace(check_capacity=False)
+    result = kernel.trace(check_capacity=False, mode="orbit")
     return result.trace.total_copy_bytes
 
 

@@ -13,7 +13,9 @@ runs as numpy column arithmetic:
    vectorized bounds analysis (:func:`~repro.runtime.batchbounds
    .batch_bounds`): the ``(tensor, rect-shape, source-offset)`` tuple.
    Contexts with equal fingerprints form an *orbit* — a symmetry class
-   under machine translation.
+   under machine translation. A batch with one fixed endpoint (one
+   source broadcasting, or one destination reduced into), one shape
+   and one payload is a single class whatever its members' offsets.
 2. **Class-level resolution.** Ownership is computed for all requests
    at once with the vectorized distribution arithmetic
    (:meth:`~repro.formats.format.Format.owner_pattern_batch`); cached
@@ -28,12 +30,13 @@ runs as numpy column arithmetic:
    per-member endpoint columns are still built (as numpy arrays, never
    Python objects) and pinned on each step, so the cost model's
    link-contention accounting is byte-identical to full execution.
-4. **Fallback.** Anything the class analysis cannot prove uniform —
-   requests spanning several home pieces, reduction flushes, leaf-level
-   communication or flushes — falls back to the per-context scalar
-   machinery against the same state, so results stay exact (asserted
-   by ``tests/runtime/test_orbit_executor.py`` on every Figure 9
-   schedule plus deliberately non-divisible problem sizes).
+4. **No fallbacks.** Requests spanning several home pieces, reduction
+   flushes and leaf-level communication all run class-batched; the
+   per-context scalar machinery is only an escape hatch, counted by
+   ``OrbitExecutor.fallback_events`` and pinned at zero by the parity
+   suites (``tests/runtime/test_orbit_executor.py`` and
+   ``test_orbit_fallbacks.py``: every Figure 9 schedule plus
+   deliberately non-divisible problem sizes).
 """
 
 from __future__ import annotations
@@ -2221,13 +2224,19 @@ class OrbitExecutor(Executor):
         offs = (src_coords - dst_coords) % mt.shape
         inter = mt.node_of_proc[src_proc] != mt.node_of_proc[dst_proc]
         shapes = hi - lo
-        # Uniform-shift fast path: one shape, one offset, one payload —
-        # a systolic phase — splits only by inter/intra character, so
-        # the class fold collapses to a bincount of ``inter``.
+        # Uniform fast path: one shape, one payload, and either one
+        # offset (a systolic phase) or one fixed endpoint (a broadcast
+        # from one source, or a reduction into one destination) splits
+        # only by inter/intra character, so the class fold collapses to
+        # a bincount of ``inter``.
         uniform = (
-            bool(np.all(offs == offs[0]))
-            and bool(np.all(nbytes == nbytes[0]))
+            bool(np.all(nbytes == nbytes[0]))
             and bool(np.all(shapes == shapes[:, :1]))
+            and (
+                bool(np.all(offs == offs[0]))
+                or bool(np.all(src_coords == src_coords[0]))
+                or bool(np.all(dst_coords == dst_coords[0]))
+            )
         )
         if uniform:
             n_inter = int(np.count_nonzero(inter))

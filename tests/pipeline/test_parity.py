@@ -20,7 +20,11 @@ from repro import (
     TensorVar,
     redistribution_bytes,
 )
-from repro.core.transfer import formats_equivalent, redistribution_trace
+from repro.core.transfer import (
+    formats_equivalent,
+    redistribution_trace,
+    transfer_kernel,
+)
 from repro.machine.cluster import Cluster
 from repro.tuner.space import Decision, normalize
 from repro.tuner.workloads import matmul, matmul_chain
@@ -121,6 +125,12 @@ class TestPlannerTransferParity:
         planned = redistribution_trace(T, src, machine, dst, machine)
         reference = redistribution_bytes(T, dst, machine)
         assert planned.total_copy_bytes == reference
+        # `redistribution_bytes` traces with the orbit interpreter; its
+        # count-weighted total equals the full batched record's.
+        batched = transfer_kernel(T, dst, machine).trace(
+            check_capacity=False, mode="batched"
+        ).trace
+        assert reference == batched.total_copy_bytes
 
     def test_replicated_destination_counts_full_fanout(self, cluster):
         """A pull-replicated consumer layout needs the data at *every*

@@ -19,11 +19,13 @@ from repro.algorithms.matmul import (
     pumma,
     solomonik,
     summa,
+    summa_rect,
 )
 from repro.machine.cluster import Cluster, MemoryKind
 from repro.machine.grid import Grid
 from repro.machine.machine import Machine
 from repro.runtime.orbit import OrbitExecutor, fold_rows
+from repro.sim.costmodel import CostModel
 from repro.sim.params import LASSEN
 from repro.util.errors import OutOfMemoryError
 
@@ -199,6 +201,61 @@ class TestCompression:
             assert sorted(np.bincount(oc.group).tolist()) == sorted(
                 np.bincount(sc.group).tolist()
             )
+
+
+def run_recording_batches(kernel, monkeypatch):
+    """Orbit-execute ``kernel``; return (executor, report, batches).
+
+    ``batches`` lists ``(tensor, reduce, representatives, members)``
+    for every batch the executor emitted.
+    """
+    batches = []
+    emit = OrbitExecutor._emit_bulk
+
+    def recording(self, step, name, *args, **kwargs):
+        info = emit(self, step, name, *args, **kwargs)
+        if info is not None:
+            batches.append((
+                name, kwargs.get("reduce", False), info.first.size,
+                int(info.counts.sum()),
+            ))
+        return info
+
+    monkeypatch.setattr(OrbitExecutor, "_emit_bulk", recording)
+    executor = OrbitExecutor(kernel.plan)
+    trace = executor.run().trace
+    report = CostModel(kernel.machine.cluster, LASSEN).time_trace(trace)
+    assert report == kernel.simulate(LASSEN, mode="scalar")
+    assert executor.fallback_events == 0
+    return executor, report, batches
+
+
+class TestFixedEndpointClasses:
+    """A batch with one fixed endpoint, one shape and one payload splits
+    only by inter/intra character: at most two representatives, however
+    many distinct offsets its members see."""
+
+    def test_fixed_source_broadcast(self, monkeypatch):
+        # A (p, 1) grid whose k-chunk spans four home pieces of C: each
+        # piece's owner sends one rectangle to the seven other members.
+        m = Machine(Cluster.cpu_cluster(4), Grid(8, 1))
+        executor, _, batches = run_recording_batches(
+            summa_rect(m, 64, 64, 8, chunk=32), monkeypatch
+        )
+        assert executor.multi_piece_batches > 0
+        assert batches
+        for name, reduce, reps, members in batches:
+            assert (name, reduce, members) == ("C", False, 7)
+            assert reps <= 2
+
+    def test_fixed_destination_reduce(self, m44, monkeypatch):
+        # Innerprod: every context writes its partial of the scalar
+        # output back to the one owner.
+        executor, _, batches = run_recording_batches(
+            innerprod(m44, 64), monkeypatch
+        )
+        assert executor.flush_batches > 0
+        assert batches == [("a", True, 2, 15)]
 
 
 class TestAnalysisOnCompressedTraces:
